@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import resource
+import multiprocessing
 import statistics
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -64,11 +64,14 @@ class Outcome:
     """What a workload measured.
 
     ``timings`` holds host-normalised values, ``raw`` the same timings in
-    raw wall seconds; ``peak_rss_kb`` is the peak resident set of all the
-    run's processes, summed, taken after the first measured pass (later
-    passes only add allocator fragmentation); ``untraced`` / ``traced`` are per-pass scaled times
-    for the trace-overhead comparison; ``layers`` the workload's own
-    per-layer figures (the span-derived ones are added by the report).
+    raw wall seconds.  ``peak_rss_kb`` is the memory of the first measured
+    pass: the resident high-water mark of each of the run's processes
+    during that pass, summed, less the pages a worker process shares with
+    the benchmark process (counted there once); see :func:`pass_plan`.
+    ``untraced`` / ``untraced_raw`` are per-pass times (scaled / raw) of the
+    untraced passes, ``traced`` the scaled times of the traced ones, for the
+    trace-overhead comparison; ``layers`` the workload's own per-layer
+    figures (the span-derived ones are added by the report).
     """
 
     attempted: int = 0
@@ -77,10 +80,46 @@ class Outcome:
     raw: Dict[str, float] = field(default_factory=dict)
     peak_rss_kb: int = 0
     untraced: List[float] = field(default_factory=list)
+    untraced_raw: List[float] = field(default_factory=list)
     traced: List[float] = field(default_factory=list)
     traced_wall_s: float = 0.0
     worker_walls: List[List[float]] = field(default_factory=list)
     layers: Dict[str, float] = field(default_factory=dict)
+
+    def record_pass(self, segments, traced: bool) -> None:
+        """Add one measured pass made of ``segments`` (probe.Segment)."""
+        scaled = sum(s.scaled_s for s in segments)
+        raw = sum(s.raw_s for s in segments)
+        if traced:
+            self.traced.append(scaled)
+            self.traced_wall_s += raw
+        else:
+            self.untraced.append(scaled)
+            self.untraced_raw.append(raw)
+
+    def set_timings(
+        self,
+        work: float,
+        latencies_scaled,
+        latencies_raw,
+        quantile: Callable[[list, float], float],
+    ) -> None:
+        """Fill ``timings`` and ``raw`` from the untraced passes.
+
+        ``work`` is the user-round reports one pass turns into estimates;
+        ``quantile(latencies, q)`` gives the submit latency percentiles.
+        """
+        for target, passes, latencies in (
+            (self.timings, self.untraced, latencies_scaled),
+            (self.raw, self.untraced_raw, latencies_raw),
+        ):
+            total = median(passes)
+            target.update(
+                time_to_estimate_s=total,
+                reports_per_s=work / total,
+                submit_latency_p50_s=quantile(latencies, 50),
+                submit_latency_p90_s=quantile(latencies, 90),
+            )
 
 
 def percentile(values: List[float], q: float) -> float:
@@ -103,8 +142,58 @@ def median(values: List[float]) -> float:
     return float(statistics.median(values))
 
 
-def self_rss_kb() -> int:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+def reset_peak_rss() -> None:
+    """Restart this process's resident high-water mark from its current RSS."""
+    with open("/proc/self/clear_refs", "w") as handle:
+        handle.write("5")
+
+
+def _proc_kb(path: str, keys) -> int:
+    """Sum of the ``kB`` fields named ``keys`` in a ``/proc/self`` file."""
+    total = 0
+    with open(path) as handle:
+        for line in handle:
+            name, _, rest = line.partition(":")
+            if name in keys:
+                total += int(rest.split()[0])
+    return total
+
+
+def peak_rss_kb() -> int:
+    """Resident high-water mark since the last :func:`reset_peak_rss`."""
+    return _proc_kb("/proc/self/status", ("VmHWM",))
+
+
+def shared_rss_kb() -> int:
+    """Resident pages this process shares with others (e.g. its fork parent)."""
+    return _proc_kb("/proc/self/smaps_rollup", ("Shared_Clean", "Shared_Dirty"))
+
+
+def in_child(function: Callable, *args):
+    """``function(*args)`` in a forked process; returns its result.
+
+    Harness work that is not measured (inputs, references) runs here, so
+    neither its memory peak nor the heap it leaves behind reaches the
+    benchmark process's ``peak_rss_mb``.
+    """
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+
+    def target():
+        sender.send(function(*args))
+        sender.close()
+
+    process = context.Process(target=target)
+    process.start()
+    sender.close()
+    try:
+        result = receiver.recv()
+    finally:
+        receiver.close()
+        process.join()
+    if process.exitcode != 0:
+        raise RuntimeError(f"harness child exited with {process.exitcode}")
+    return result
 
 
 def require(condition: bool, message: str) -> None:
@@ -119,12 +208,15 @@ def pass_plan(ctx: Context, warmup: bool = False):
     An optional warm-up pass comes first and is not measured.  Measured
     passes follow until ``ctx.seconds`` are spent; with a tracer they
     alternate untraced and traced, ending on a traced one, so the run
-    always has both for the trace-overhead comparison.
+    always has both for the trace-overhead comparison.  The process's
+    resident high-water mark restarts at the first measured pass, so
+    ``peak_rss_mb`` leaves out untimed harness work and the warm-up.
     """
     if warmup:
         if ctx.tracer is not None:
             ctx.tracer.enabled = False
         yield True, False
+    reset_peak_rss()
     started = time.perf_counter()
     index = 0
     while True:

@@ -21,7 +21,18 @@ from pathlib import Path
 
 import numpy as np
 
-from bench import Context, Outcome, median, pass_plan, percentile, require, self_rss_kb
+from bench import (
+    Context,
+    Outcome,
+    in_child,
+    median,
+    pass_plan,
+    peak_rss_kb,
+    percentile,
+    require,
+    reset_peak_rss,
+    shared_rss_kb,
+)
 from probe import HostProbe
 
 FULL = {"scale": 0.25, "shards": 64}
@@ -88,6 +99,9 @@ def _worker_main(conn, dataset_ref, tracer, spans_dir) -> None:
             tracer.enabled = traced
             tracer.phase = "run"
         endpoint = _TimedEndpoint(FileQueueWorker(spool))
+        # Pages shared with the benchmark process are counted there.
+        reset_peak_rss()
+        shared_kb = shared_rss_kb()
         conn.send(("attached",))
         started = time.perf_counter()
         try:
@@ -102,7 +116,7 @@ def _worker_main(conn, dataset_ref, tracer, spans_dir) -> None:
             endpoint.close()
         wall = time.perf_counter() - started
         conn.recv()  # the stop message that ended run_worker
-        conn.send(("done", completed, endpoint.latencies, wall, self_rss_kb()))
+        conn.send(("done", completed, endpoint.latencies, wall, peak_rss_kb() - shared_kb))
     if tracer is not None:
         tracer.dump(Path(spans_dir) / f"worker-{multiprocessing.current_process().pid}.jsonl")
     conn.send(("bye",))
@@ -174,9 +188,11 @@ def run(ctx: Context, handle) -> Outcome:
     dataset, spec, tasks, ref = handle["dataset"], handle["spec"], handle["tasks"], handle["ref"]
     workers = handle["workers"]
     # Untimed serial reference of the same plan (same shards, same seeds).
-    reference = simulate_protocol_sharded(
-        spec, dataset, len(tasks), rng=ctx.seeds.simulation
-    ).estimates
+    reference = in_child(
+        lambda: simulate_protocol_sharded(
+            spec, dataset, len(tasks), rng=ctx.seeds.simulation
+        ).estimates
+    )
 
     def dead_worker():
         if any(not process.is_alive() for process, _ in workers):
@@ -191,7 +207,7 @@ def run(ctx: Context, handle) -> Outcome:
 
     ctx.clock.probe = probe_workers
     outcome = Outcome()
-    collection_scaled, collection_raw, shard_scaled, shard_raw = [], [], [], []
+    shard_scaled, shard_raw = [], []
     for index, (warmup, traced) in enumerate(pass_plan(ctx, warmup=True)):
         spool = ctx.work_dir / f"spool-{index}"
         transport = FileQueueTransport(spool)
@@ -231,32 +247,16 @@ def run(ctx: Context, handle) -> Outcome:
         outcome.attempted += len(tasks)
         outcome.failed += coordinator.requeued + coordinator.duplicates + coordinator.foreign
         if not outcome.peak_rss_kb:
-            outcome.peak_rss_kb = self_rss_kb() + worker_rss_kb
+            outcome.peak_rss_kb = peak_rss_kb() + worker_rss_kb
+        outcome.record_pass([segment], traced)
         if traced:
-            outcome.traced.append(segment.scaled_s)
-            outcome.traced_wall_s += segment.raw_s
             outcome.worker_walls.append(walls)
             for name in ("requeued", "duplicates"):
                 key = f"coordinator.{name}"
                 outcome.layers[key] = outcome.layers.get(key, 0) + getattr(coordinator, name)
         else:
-            outcome.untraced.append(segment.scaled_s)
-            collection_scaled.append(segment.scaled_s)
-            collection_raw.append(segment.raw_s)
             shard_scaled.extend(value * segment.factor for value in latencies)
             shard_raw.extend(latencies)
-    user_rounds = dataset.n_users * dataset.n_rounds
-    outcome.timings = {
-        "time_to_estimate_s": median(collection_scaled),
-        "reports_per_s": user_rounds / median(collection_scaled),
-        "submit_latency_p50_s": percentile(shard_scaled, 50),
-        "submit_latency_p90_s": percentile(shard_scaled, 90),
-    }
-    outcome.raw = {
-        "time_to_estimate_s": median(collection_raw),
-        "reports_per_s": user_rounds / median(collection_raw),
-        "submit_latency_p50_s": percentile(shard_raw, 50),
-        "submit_latency_p90_s": percentile(shard_raw, 90),
-    }
+    outcome.set_timings(dataset.n_users * dataset.n_rounds, shard_scaled, shard_raw, percentile)
     outcome.layers["worker.setup_s"] = median(handle["worker_setup_s"])
     return outcome

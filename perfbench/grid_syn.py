@@ -10,7 +10,7 @@ return.
 
 from __future__ import annotations
 
-from bench import Context, Outcome, median, pass_plan, percentile, require, self_rss_kb
+from bench import Context, Outcome, median, pass_plan, peak_rss_kb, percentile, require
 
 FULL = {"scale": 0.3, "eps": (1.0, 2.0, 4.0), "alpha": (0.5,)}
 TINY = {"scale": 0.05, "eps": (2.0,), "alpha": (0.5,)}
@@ -116,7 +116,7 @@ def run(ctx: Context, handle) -> Outcome:
     ]
     user_rounds = len(grid) * dataset.n_users * dataset.n_rounds
     outcome = Outcome()
-    pass_scaled, pass_raw, point_scaled, point_raw = [], [], [], []
+    point_scaled, point_raw = [], []
     clock = ctx.clock
     for index, (warmup, traced) in enumerate(pass_plan(ctx, warmup=True)):
         if warmup:
@@ -132,39 +132,24 @@ def run(ctx: Context, handle) -> Outcome:
         store = _sweep(ctx, dataset, specs, size, ctx.work_dir / f"grid-{index}", clock.split)
         clock.stop()
         segments = clock.segments[first:]
-        scaled = sum(s.scaled_s for s in segments)
-        raw = sum(s.raw_s for s in segments)
-        if traced:
-            outcome.traced.append(scaled)
-            outcome.traced_wall_s += raw
-        else:
-            outcome.untraced.append(scaled)
-            pass_scaled.append(scaled)
-            pass_raw.append(raw)
+        outcome.record_pass(segments, traced)
+        if not traced:
             # The last segment is the tail after the final row; the others
             # are one grid point each, in grid order.
             point_scaled.append([s.scaled_s for s in segments[:-1]])
             point_raw.append([s.raw_s for s in segments[:-1]])
         if not outcome.peak_rss_kb:
-            outcome.peak_rss_kb = self_rss_kb()
+            outcome.peak_rss_kb = peak_rss_kb()
         rows = store.load_rows("grid")
         if ctx.corrupt:
             rows[0]["mse_avg"] = str(float(rows[0]["mse_avg"]) * 100.0)
         outcome.attempted += len(grid)
         outcome.failed += check_rows(rows, grid, dataset)
     # A grid point's latency is its median over the run's passes.
-    point_scaled = [median(column) for column in zip(*point_scaled)]
-    point_raw = [median(column) for column in zip(*point_raw)]
-    outcome.timings = {
-        "time_to_estimate_s": median(pass_scaled),
-        "reports_per_s": user_rounds / median(pass_scaled),
-        "submit_latency_p50_s": percentile(point_scaled, 50),
-        "submit_latency_p90_s": percentile(point_scaled, 90),
-    }
-    outcome.raw = {
-        "time_to_estimate_s": median(pass_raw),
-        "reports_per_s": user_rounds / median(pass_raw),
-        "submit_latency_p50_s": percentile(point_raw, 50),
-        "submit_latency_p90_s": percentile(point_raw, 90),
-    }
+    outcome.set_timings(
+        user_rounds,
+        [median(column) for column in zip(*point_scaled)],
+        [median(column) for column in zip(*point_raw)],
+        percentile,
+    )
     return outcome

@@ -21,19 +21,22 @@ import numpy as np
 from bench import (
     Context,
     Outcome,
+    in_child,
     median,
     pass_plan,
+    peak_rss_kb,
     percentile,
     require,
     segment_percentile,
-    self_rss_kb,
 )
 
 FULL = {"users": 2000, "rounds": 20}
 TINY = {"users": 100, "rounds": 4}
+#: Protocol of ``benchmarks/bench_ingest.py``.
 K = 64
 EPS_INF, EPS_1 = 2.0, 1.0
-BATCH = 50
+#: Users per POST: the default of ``repro-ldp loadgen --batch-size``.
+BATCH = 32
 #: One ``GET /v1/estimate/<t>`` after this many report batches.
 READ_EVERY = 4
 
@@ -123,7 +126,6 @@ async def _pass(ctx, server, bodies, tracer_fold_count, stats, traced):
                     stats["failed"] += 1
                     continue
                 accepted += 1
-                stats["request_bytes"] += len(body)
                 if traced:
                     waiting = accepted - (tracer_fold_count() - folded_at_start)
                     stats["queue_depth_max"] = max(stats["queue_depth_max"], waiting)
@@ -147,7 +149,7 @@ async def _pass(ctx, server, bodies, tracer_fold_count, stats, traced):
 def run(ctx: Context, handle) -> Outcome:
     size = TINY if ctx.tiny else FULL
     loop = handle["loop"]
-    bodies, reference = make_inputs(ctx.seeds, size)
+    bodies, reference = in_child(make_inputs, ctx.seeds, size)
     reports_per_pass = size["users"] * size["rounds"]
     tracer = ctx.tracer
 
@@ -155,8 +157,7 @@ def run(ctx: Context, handle) -> Outcome:
         return tracer.counts.get("session.batches_folded", 0) if tracer else 0
 
     outcome = Outcome()
-    stats = {"attempted": 0, "failed": 0, "queue_depth_max": 0, "request_bytes": 0}
-    pass_scaled, pass_raw = [], []
+    stats = {"attempted": 0, "failed": 0, "queue_depth_max": 0}
     post_scaled, post_raw, read_scaled, traced_posts = [], [], [], []
     seal_durations = []
     for index, (warmup, traced) in enumerate(pass_plan(ctx, warmup=True)):
@@ -178,20 +179,15 @@ def run(ctx: Context, handle) -> Outcome:
             f"pass {index}: live estimates differ from the batch session's",
         )
         if warmup:
-            stats.update(attempted=0, failed=0, request_bytes=0)
+            stats.update(attempted=0, failed=0)
             continue
         if not outcome.peak_rss_kb:
-            outcome.peak_rss_kb = self_rss_kb()
+            outcome.peak_rss_kb = peak_rss_kb()
         seal_durations.extend(event.duration for event in server.clock.seals)
-        scaled = sum(s.scaled_s for s in segments)
+        outcome.record_pass(segments, traced)
         if traced:
-            outcome.traced.append(scaled)
-            outcome.traced_wall_s += sum(s.raw_s for s in segments)
             traced_posts.extend(raw for _, raw in posts)
         else:
-            outcome.untraced.append(scaled)
-            pass_scaled.append(scaled)
-            pass_raw.append(sum(s.raw_s for s in segments))
             by_segment = [[] for _ in segments]
             for i, raw in posts:
                 by_segment[i].append(raw)
@@ -200,25 +196,13 @@ def run(ctx: Context, handle) -> Outcome:
             read_scaled.extend(raw * segments[i].factor for i, raw in reads)
     outcome.attempted = stats["attempted"]
     outcome.failed = stats["failed"]
-    outcome.timings = {
-        "time_to_estimate_s": median(pass_scaled),
-        "reports_per_s": reports_per_pass / median(pass_scaled),
-        "submit_latency_p50_s": segment_percentile(post_scaled, 50),
-        "submit_latency_p90_s": segment_percentile(post_scaled, 90),
-    }
-    outcome.raw = {
-        "time_to_estimate_s": median(pass_raw),
-        "reports_per_s": reports_per_pass / median(pass_raw),
-        "submit_latency_p50_s": segment_percentile(post_raw, 50),
-        "submit_latency_p90_s": segment_percentile(post_raw, 90),
-    }
+    outcome.set_timings(reports_per_pass, post_scaled, post_raw, segment_percentile)
+    request_bytes = sum(len(body) for round_bodies in bodies for body in round_bodies)
     outcome.layers.update(
         {
             "ingest.estimate_latency_p50_s": percentile(read_scaled, 50),
             "ingest.submit_latency_p99_s": percentile(sum(post_scaled, []), 99),
-            "ingest.request_bytes_per_report": stats["request_bytes"]
-            / max(1, stats["attempted"] - stats["failed"])
-            / BATCH,
+            "ingest.request_bytes_per_report": request_bytes / reports_per_pass,
             "ingest.queue_depth_max": stats["queue_depth_max"],
             "ingest.rejected": stats["failed"],
             "clock.seals": len(seal_durations),

@@ -175,7 +175,9 @@ def test_packed_column_sums_match_legacy_unpack(warm):
     engines, rounds = warm
     engine = engines["L-OSUE"]
     for values in rounds:
-        packed = engine._column_sums.update(values)
+        packed = engine._column_sums.update(
+            values, engine._fold_column_sums, engine._fold_column_sums_delta
+        )
         unpacked = engine._state.resolve(values, _never_fresh).sum(
             axis=0, dtype=np.int64
         )

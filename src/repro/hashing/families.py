@@ -154,9 +154,15 @@ class MultiplyShiftHashFamily(UniversalHashFamily):
             a = a * np.uint64(2) + np.uint64(1)
             b = generator.integers(0, 2**63, size=n_functions, dtype=np.uint64)
             x = np.arange(int(k), dtype=np.uint64)
-            mixed = a[:, None] * x[None, :] + b[:, None]
-        high = (mixed >> np.uint64(32)).astype(np.int64)
-        return high % np.int64(self.g)
+            # One (n, k) buffer, updated in place: the population tables are
+            # large enough that each temporary costs as much as the arithmetic.
+            mixed = a[:, None] * x[None, :]
+            mixed += b[:, None]
+        mixed >>= np.uint64(32)
+        # The high 32 bits are non-negative in int64, so a view reinterprets
+        # them exactly.
+        high = mixed.view(np.int64)
+        return np.remainder(high, np.int64(self.g), out=high)
 
 
 @dataclass(frozen=True)

@@ -135,24 +135,27 @@ class _DeltaFoldCache:
       previously flip-flopped between the two costs every round; the band
       keeps them on one side.
 
+    The fold callables are passed to every :meth:`update` rather than stored:
+    they are the owning engine's bound methods, and holding them would make
+    engine and cache a reference cycle that keeps the engine's memo table
+    alive until the cyclic garbage collector happens to run.
+
     Longitudinal values are sticky across rounds, making the delta path the
     common case.
     """
 
-    def __init__(
-        self,
-        n_users: int,
-        fold: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        fold_delta: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None,
-    ) -> None:
+    def __init__(self, n_users: int) -> None:
         self._n_users = n_users
-        self._fold = fold
-        self._fold_delta = fold_delta
         self._last_keys: Optional[np.ndarray] = None
         self._sums: Optional[np.ndarray] = None
         self._delta_mode = False
 
-    def update(self, keys: np.ndarray) -> np.ndarray:
+    def update(
+        self,
+        keys: np.ndarray,
+        fold: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        fold_delta: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None,
+    ) -> np.ndarray:
         if self._sums is not None:
             changed = np.flatnonzero(keys != self._last_keys)
             threshold = (
@@ -160,18 +163,18 @@ class _DeltaFoldCache:
             )
             if changed.size <= threshold:
                 if changed.size:
-                    if self._fold_delta is not None:
-                        self._sums += self._fold_delta(
+                    if fold_delta is not None:
+                        self._sums += fold_delta(
                             changed, keys[changed], self._last_keys[changed]
                         )
                     else:
-                        self._sums += self._fold(changed, keys[changed])
-                        self._sums -= self._fold(changed, self._last_keys[changed])
+                        self._sums += fold(changed, keys[changed])
+                        self._sums -= fold(changed, self._last_keys[changed])
                     self._last_keys[changed] = keys[changed]
                 self._delta_mode = True
                 _fold_counters()[1].inc()
                 return self._sums
-        self._sums = self._fold(np.arange(self._n_users), keys)
+        self._sums = fold(np.arange(self._n_users), keys)
         self._last_keys = keys.copy()
         self._delta_mode = False
         _fold_counters()[2].inc()
@@ -233,22 +236,12 @@ class PopulationEngine(ABC):
         return self._backend.name
 
     def memo_nbytes(self) -> Optional[int]:
-        """Bytes currently held by this engine's memo table, if it has one.
-
-        Packed memos report lazily materialized storage
-        (``nbytes_allocated``), dense ones their array sizes (``nbytes``);
-        engines without a table answer ``None``.
-        """
+        """Bytes currently held by this engine's memo table (its lazily
+        materialized storage), or ``None`` for an engine without one."""
         state = getattr(self, "_state", None)
         if state is None:
             return None
-        for attr in ("nbytes_allocated", "nbytes"):
-            value = getattr(state, attr, None)
-            if callable(value):
-                return int(value())
-            if value is not None:
-                return int(value)
-        return None
+        return int(state.nbytes_allocated)
 
     @abstractmethod
     def run_round(self, values_t: np.ndarray, rng: Optional[np.random.Generator] = None) -> np.ndarray:
@@ -415,9 +408,7 @@ class UnaryChainEngine(PopulationEngine):
             self._state = make_packed_bit_memo(
                 n_users, protocol.k, protocol.k, layout=memo_layout
             )
-        self._column_sums = _DeltaFoldCache(
-            n_users, self._fold_column_sums, self._fold_column_sums_delta
-        )
+        self._column_sums = _DeltaFoldCache(n_users)
 
     def _fold_column_sums(self, users: np.ndarray, keys: np.ndarray) -> np.ndarray:
         return self._backend.packed_column_sums(
@@ -453,7 +444,9 @@ class UnaryChainEngine(PopulationEngine):
         # Column sums of the memoized rows, folded on the packed bytes (the
         # full (n_users, k) bit matrix is never unpacked) and updated
         # incrementally across rounds.
-        return self._column_sums.update(values_t)
+        return self._column_sums.update(
+            values_t, self._fold_column_sums, self._fold_column_sums_delta
+        )
 
     def run_round(self, values_t: np.ndarray, rng: Optional[np.random.Generator] = None) -> np.ndarray:
         values_t = self._validate_round(values_t)
@@ -532,14 +525,67 @@ class DBitFlipEngine(PopulationEngine):
         #: ``record_key_history=True`` (``None`` otherwise); consumed by the
         #: change-detection attack.
         self.key_history: Optional[List[np.ndarray]] = [] if record_key_history else None
+        # Previous round's buckets and indicator keys: only users whose
+        # bucket changed need their key recomputed (bucket -1 makes the
+        # first round compute every key).
+        self._buckets = np.full(n_users, -1, dtype=np.int64)
+        self._keys = np.full(n_users, d, dtype=np.int64)
+        # A user's contribution to the round counts depends only on its
+        # (user, key) pair, so the bincount is delta-cached on the keys.
+        self._memo_counts = _DeltaFoldCache(n_users)
 
-    def _indicator_keys(self, buckets: np.ndarray) -> np.ndarray:
-        """Position of each user's current bucket among its sampled buckets, or d."""
-        matches = self.sampled_buckets == buckets[:, None]
-        keys = np.full(self.n_users, self.protocol.d, dtype=np.int64)
-        matched_users, matched_positions = np.nonzero(matches)
-        keys[matched_users] = matched_positions
+    def _sampled_buckets_of(self, users: np.ndarray) -> np.ndarray:
+        # ``users`` are distinct, so all n of them are the whole population:
+        # skip the (n, d) gather a full refold or a full-churn round would pay.
+        if users.size == self.n_users:
+            return self.sampled_buckets
+        return self.sampled_buckets[users]
+
+    def _indicator_keys(self, users: np.ndarray, buckets: np.ndarray) -> np.ndarray:
+        """Position of each given user's bucket among its sampled buckets, or d."""
+        matches = self._sampled_buckets_of(users) == buckets[:, None]
+        keys = np.full(users.size, self.protocol.d, dtype=np.int64)
+        matched_rows, matched_positions = np.nonzero(matches)
+        keys[matched_rows] = matched_positions
         return keys
+
+    def _round_keys(self, values_t: np.ndarray) -> np.ndarray:
+        buckets = self.protocol.bucket_of(values_t)
+        moved = np.flatnonzero(buckets != self._buckets)
+        # Updated in place: the fold cache and the key history copy what
+        # they keep.
+        self._keys[moved] = self._indicator_keys(moved, buckets[moved])
+        self._buckets = buckets
+        return self._keys
+
+    def _fold_counts(self, users: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        bits = np.unpackbits(
+            self._state.packed_rows(users, keys), axis=1, count=self.protocol.d
+        )
+        return np.bincount(
+            self._sampled_buckets_of(users).ravel(),
+            weights=bits.ravel(),
+            minlength=self.protocol.b,
+        )
+
+    def _fold_counts_delta(
+        self, users: np.ndarray, new_keys: np.ndarray, old_keys: np.ndarray
+    ) -> np.ndarray:
+        # A user's sampled buckets are the same under both keys, so the
+        # + new − old adjustment is one bincount weighted by the bit delta;
+        # the float64 sums stay exact integers, bit-identical to a refold.
+        packed = np.concatenate(
+            [
+                self._state.packed_rows(users, new_keys),
+                self._state.packed_rows(users, old_keys),
+            ]
+        )
+        bits = np.unpackbits(packed, axis=1, count=self.protocol.d).view(np.int8)
+        return np.bincount(
+            self.sampled_buckets[users].ravel(),
+            weights=(bits[: users.size] - bits[users.size :]).ravel(),
+            minlength=self.protocol.b,
+        )
 
     def run_round(self, values_t: np.ndarray, rng: Optional[np.random.Generator] = None) -> np.ndarray:
         values_t = self._validate_round(values_t)
@@ -547,19 +593,17 @@ class DBitFlipEngine(PopulationEngine):
         p, q = self.protocol.bit_probabilities
         d = self.protocol.d
 
-        buckets = self.protocol.bucket_of(values_t)
-        keys = self._indicator_keys(buckets)
+        keys = self._round_keys(values_t)
         if self.key_history is not None:
             self.key_history.append(keys.copy())
 
-        current = self._state.resolve(
+        self._state.ensure_rows(
             keys, lambda users, kk: dbitflip_fresh_bits_kernel(kk, d, p, q, generator)
         )
-        return np.bincount(
-            self.sampled_buckets.ravel(),
-            weights=current.ravel(),
-            minlength=self.protocol.b,
-        )
+        # Copied out: callers (the sinks above all) keep the returned array.
+        return self._memo_counts.update(
+            keys, self._fold_counts, self._fold_counts_delta
+        ).copy()
 
     def run_rounds(
         self,
@@ -650,11 +694,7 @@ class LOLOHAEngine(PopulationEngine):
         # A user's support row depends only on its memoized symbol (the hash
         # tables are fixed), so the fold is delta-cached on those symbols;
         # the packed-plane layout additionally gets the fused delta pass.
-        self._memoized_support = _DeltaFoldCache(
-            n_users,
-            self._fold_support,
-            self._fold_support_delta if use_planes else None,
-        )
+        self._memoized_support = _DeltaFoldCache(n_users)
 
     def _fold_support(self, users: np.ndarray, symbols: np.ndarray) -> np.ndarray:
         """Fold the support rows of the given users under the given memoized
@@ -687,7 +727,11 @@ class LOLOHAEngine(PopulationEngine):
         memoized = self._state.resolve(
             hashed, lambda u, keys: grr_kernel(keys, g, params.p1, generator)
         )
-        return self._memoized_support.update(memoized)
+        return self._memoized_support.update(
+            memoized,
+            self._fold_support,
+            None if self._support_planes is None else self._fold_support_delta,
+        )
 
     def run_round(self, values_t: np.ndarray, rng: Optional[np.random.Generator] = None) -> np.ndarray:
         values_t = self._validate_round(values_t)

@@ -102,13 +102,20 @@ def ue_fresh_rows_kernel(
     """Fused one-hot + UE flip: randomized ``k``-bit rows for a value batch.
 
     Equivalent to ``ue_flip_kernel(one_hot_kernel(values, k), p, q, rng)``
-    (identical randomness consumption) without materializing the one-hot
-    matrix.
+    (identical randomness consumption and bits) without materializing the
+    one-hot matrix or an ``(n, k)`` threshold matrix: every cell is compared
+    against ``q``, then only the true-bit cell of each row whose value lies
+    in ``[0, k)`` is re-compared against ``q + (p - q)`` — the exact
+    threshold ``ue_flip_kernel`` computes for a 1-bit, which can differ from
+    ``p`` in the last ulp.  Values outside ``[0, k)`` yield all-``q`` rows.
     """
-    values = np.asarray(values, dtype=np.int64)
-    is_true_bit = np.arange(k)[None, :] == values[:, None]
-    threshold = q + is_true_bit * (p - q)
-    return (rng.random((values.size, k)) < threshold).astype(np.uint8)
+    values = np.asarray(values, dtype=np.int64).ravel()
+    uniforms = rng.random((values.size, k))
+    rows = np.less(uniforms, q).view(np.uint8)
+    in_domain = np.flatnonzero((values >= 0) & (values < k))
+    true_bits = values[in_domain]
+    rows[in_domain, true_bits] = uniforms[in_domain, true_bits] < q + (p - q)
+    return rows
 
 
 def _chained_binomial_batch(
@@ -329,11 +336,19 @@ def sample_buckets_kernel(
     A single batched draw: ranking one uniform per (user, bucket) yields a
     uniformly random permutation per row, of which the first ``d`` entries
     are an unordered without-replacement sample — no per-user
-    ``rng.choice`` loop.
+    ``rng.choice`` loop.  For ``d < b`` only the ``d`` smallest uniforms of
+    each row are selected (``argpartition``) and then sorted, which gives
+    the same buckets in the same order as the full ``argsort`` (float ties
+    have probability zero) at a fraction of the cost.
     """
     if d > b:
         raise ValueError(f"cannot sample {d} buckets from {b} without replacement")
-    return np.argsort(rng.random((n_users, b)), axis=1)[:, :d].astype(np.int64)
+    uniforms = rng.random((n_users, b))
+    if d == b:
+        return np.argsort(uniforms, axis=1).astype(np.int64, copy=False)
+    winners = np.argpartition(uniforms, d - 1, axis=1)[:, :d]
+    order = np.argsort(np.take_along_axis(uniforms, winners, axis=1), axis=1)
+    return np.take_along_axis(winners, order, axis=1).astype(np.int64, copy=False)
 
 
 def debias_kernel(counts: np.ndarray, n: float, p: float, q: float) -> np.ndarray:

@@ -84,6 +84,11 @@ class DenseSymbolMemo:
         self._dtype = np.dtype(dtype)
         self._table: Optional[np.ndarray] = None
 
+    @property
+    def nbytes_allocated(self) -> int:
+        """Bytes currently held by the symbol table (0 before first use)."""
+        return 0 if self._table is None else self._table.nbytes
+
     def _ensure_allocated(self) -> np.ndarray:
         if self._table is None:
             self._table = np.full((self.n_users, self.n_keys), -1, dtype=self._dtype)

@@ -21,6 +21,7 @@ comments — a data row whose first cell happens to start with ``#`` is data.
 from __future__ import annotations
 
 import csv
+import fcntl
 import hashlib
 import io
 import json
@@ -136,7 +137,9 @@ class ResultsStore:
         I/O, regardless of how many rows the file already holds.  A writer
         killed mid-write can leave at most one torn (newline-less) trailing
         line, which both :meth:`load_rows` and the next append drop; complete
-        earlier rows are never touched.
+        earlier rows are never touched.  Concurrent appenders, threads or
+        processes, are serialized by an exclusive ``flock`` on the file, so
+        exactly one of them writes the header of a new file.
 
         ``header_comment``, when given, is written as a single ``# <comment>``
         line above the CSV header of a *newly created* file (existing files
@@ -158,28 +161,31 @@ class ResultsStore:
                     raise ExperimentError(
                         "appended cell values must not contain newlines"
                     )
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=fieldnames)
-        existing_header = None
-        if path.exists() and path.stat().st_size > 0:
-            _truncate_torn_tail(path)
-            existing_header = _read_header_fields(path)
-        if existing_header is None:
-            if header_comment is not None:
-                if "\n" in header_comment or "\r" in header_comment:
-                    raise ExperimentError("header comment must be a single line")
-                buffer.write(f"# {header_comment}\n")
-            writer.writeheader()
-        elif existing_header != fieldnames:
-            raise ExperimentError(
-                f"cannot append to {path}: existing columns {existing_header} do "
-                f"not match {fieldnames}"
-            )
-        writer.writerows(rows)
-        payload = buffer.getvalue().encode("utf-8")
+        if header_comment is not None and (
+            "\n" in header_comment or "\r" in header_comment
+        ):
+            raise ExperimentError("header comment must be a single line")
         fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
         try:
-            view = memoryview(payload)
+            # Held from the header check to the fsync: two writers that both
+            # found the file empty would each write a header, and the second
+            # would load back as a data row.  Closing the fd releases it.
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            _truncate_torn_tail(path)
+            existing_header = _read_header_fields(path)
+            if existing_header is not None and existing_header != fieldnames:
+                raise ExperimentError(
+                    f"cannot append to {path}: existing columns "
+                    f"{existing_header} do not match {fieldnames}"
+                )
+            buffer = io.StringIO()
+            writer = csv.DictWriter(buffer, fieldnames=fieldnames)
+            if existing_header is None:
+                if header_comment is not None:
+                    buffer.write(f"# {header_comment}\n")
+                writer.writeheader()
+            writer.writerows(rows)
+            view = memoryview(buffer.getvalue().encode("utf-8"))
             while view:
                 view = view[os.write(fd, view) :]
             os.fsync(fd)

@@ -86,6 +86,20 @@ class TestBatchedDomainHashing:
             function = _BlakeFunction(seed=int(seed), g=7)
             assert np.array_equal(row, [function(v) for v in range(30)])
 
+    def test_multiply_shift_batch_rows_match_per_function_hashing(self):
+        """The in-place batch draw must agree with scalar hashing."""
+        from repro.hashing.families import _MultiplyShiftFunction
+
+        family = MultiplyShiftHashFamily(g=7)
+        matrix = family.sample_hashed_domains(5, 300, rng=3)
+        generator = np.random.default_rng(3)
+        a = generator.integers(1, 2**63, size=5, dtype=np.uint64)
+        b = generator.integers(0, 2**63, size=5, dtype=np.uint64)
+        assert matrix.dtype == np.int64
+        for row, a_i, b_i in zip(matrix, a, b):
+            function = _MultiplyShiftFunction(a=(int(a_i) * 2 + 1) % 2**64, b=int(b_i), g=7)
+            assert np.array_equal(row, function.hash_all(300))
+
     def test_blake_counter_blocks_are_independent(self):
         """Values inside one digest block must still hash independently."""
         function = BlakeHashFamily(g=64).sample(rng=9)

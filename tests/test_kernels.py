@@ -158,6 +158,36 @@ class TestUEKernels:
         )
         assert np.array_equal(fused, two_step)
 
+    @pytest.mark.parametrize(
+        "p, q",
+        # The second pair has q + (p - q) != p in float64.
+        [(0.75, 0.25), (0.7857857007138075, 0.17708368528312307), (0.05, 0.9)],
+    )
+    @pytest.mark.parametrize("n, k", [(0, 5), (1, 1), (40, 3), (300, 360)])
+    def test_fresh_rows_equal_threshold_matrix_formula(self, n, k, p, q):
+        """Bit-identical to the (n, k) threshold-matrix formula, including
+        out-of-domain values (dBitFlipPM's no-match key k gives an all-q row)."""
+        values = np.random.default_rng(n + k).integers(-1, k + 2, size=n)
+        values[: min(n, 3)] = k
+        threshold = q + (np.arange(k)[None, :] == values[:, None]) * (p - q)
+        expected = (np.random.default_rng(31).random((n, k)) < threshold).astype(np.uint8)
+        got = ue_fresh_rows_kernel(values, k, p, q, np.random.default_rng(31))
+        assert got.dtype == np.uint8 and np.array_equal(got, expected)
+
+    def test_fresh_rows_true_bit_threshold_is_q_plus_p_minus_q(self):
+        """A uniform lying between p and q + (p - q) tells the two apart."""
+        p, q = 0.7857857007138075, 0.17708368528312307
+        between = min(p, q + (p - q))
+        true_bit = int(between < q + (p - q))
+        assert true_bit != int(between < p)
+
+        class Uniforms:
+            def random(self, shape):
+                return np.full(shape, between)
+
+        rows = ue_fresh_rows_kernel(np.asarray([0, 1, 2]), 2, p, q, Uniforms())
+        assert rows.tolist() == [[true_bit, 0], [0, true_bit], [0, 0]]
+
     def test_flip_probabilities(self):
         bits = np.zeros((20_000, 4), dtype=np.uint8)
         bits[:, 0] = 1
@@ -186,6 +216,13 @@ class TestDBitFlipKernels:
         assert sampled.min() >= 0 and sampled.max() < 20
         for row in sampled:
             assert len(set(row.tolist())) == 6
+
+    @pytest.mark.parametrize("d", [1, 8, 360])
+    def test_sample_buckets_equal_full_argsort(self, d):
+        """The partial selection keeps the full argsort's buckets and order."""
+        expected = np.argsort(np.random.default_rng(37).random((3000, 360)), axis=1)[:, :d]
+        got = sample_buckets_kernel(3000, 360, d, np.random.default_rng(37))
+        assert got.dtype == np.int64 and np.array_equal(got, expected)
 
     def test_sample_buckets_marginal_uniform(self):
         sampled = sample_buckets_kernel(20_000, 8, 2, np.random.default_rng(19))

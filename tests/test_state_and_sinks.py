@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import AggregationError, ParameterError
 from repro.longitudinal import DBitFlipPM, LGRR, LSUE, OLOLOHA
-from repro.simulation import simulate_protocol, simulate_protocol_sharded
+from repro.simulation import engine_for, simulate_protocol, simulate_protocol_sharded
 from repro.simulation.sinks import (
     ShardSummary,
     ShardedSink,
@@ -24,6 +24,21 @@ class TestDenseSymbolMemo:
     def test_lazy_allocation_and_zero_distinct(self):
         memo = DenseSymbolMemo(5, 8)
         assert list(memo.distinct_per_user()) == [0, 0, 0, 0, 0]
+
+    def test_nbytes_allocated_counts_the_table_once_used(self):
+        memo = DenseSymbolMemo(5, 8)
+        assert memo.nbytes_allocated == 0
+        memo.resolve(np.arange(5), lambda u, k: k)
+        assert memo.nbytes_allocated == 5 * 8 * np.dtype(np.int32).itemsize
+
+    @pytest.mark.parametrize(
+        "protocol", [LGRR(6, 2.0, 1.0), OLOLOHA(6, 2.0, 1.0)], ids=["grr", "loloha"]
+    )
+    def test_symbol_memo_engines_report_memo_bytes(self, protocol):
+        engine = engine_for(protocol, 4, rng=0)
+        assert engine.memo_nbytes() == 0
+        engine.run_round(np.asarray([0, 1, 2, 3]))
+        assert engine.memo_nbytes() == engine._state.nbytes_allocated > 0
 
     def test_fresh_called_only_for_missing(self):
         memo = DenseSymbolMemo(4, 6)

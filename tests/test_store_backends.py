@@ -8,12 +8,14 @@ concurrent writers, cross-backend migration, the sweep/CLI integration and
 the coordinator's store-backed checkpointing.
 """
 
+import csv
 import json
 import os
 import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 
 import numpy as np
@@ -316,6 +318,46 @@ class TestCrashSafety:
         for name in ("alpha", "beta"):
             mine = [int(row["i"]) for row in rows if row["writer"] == name]
             assert mine == list(range(20)), f"writer {name} rows reordered or lost"
+
+
+    def test_first_appends_racing_past_the_header_check_write_one_header(
+        self, tmp_path, monkeypatch
+    ):
+        """Two csv writers that both find no header before either writes
+        must not both write one: the second would load as a data row.  A
+        barrier in ``writeheader`` holds the first writer there until the
+        second arrives or the wait times out."""
+        barrier = threading.Barrier(2, timeout=0.5)
+        original = csv.DictWriter.writeheader
+
+        def writeheader_at_barrier(writer):
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:
+                pass
+            return original(writer)
+
+        monkeypatch.setattr(csv.DictWriter, "writeheader", writeheader_at_barrier)
+        store = ResultsStore(tmp_path)
+        errors = []
+
+        def append(name):
+            try:
+                store.append_rows("shared", [{"writer": name, "i": 0}])
+            except Exception as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        threads = [threading.Thread(target=append, args=(n,)) for n in ("a", "b")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert errors == []
+        lines = (tmp_path / "shared.csv").read_text().splitlines()
+        assert lines.count("writer,i") == 1, lines
+        rows = store.load_rows("shared")
+        assert sorted(row["writer"] for row in rows) == ["a", "b"]
 
 
 class TestMigrateStore:
